@@ -31,7 +31,7 @@ func cmdServe(ctx context.Context, args []string, out io.Writer) error {
 	inflight := fs.Int("inflight", serve.DefaultMaxInflight, "max concurrently admitted eval/run requests (beyond: 429)")
 	timeout := fs.Duration("timeout", serve.DefaultEvalTimeout, "per-request solver deadline")
 	drain := fs.Duration("drain", serve.DefaultDrainTimeout, "graceful-shutdown drain budget")
-	cacheSize := fs.Int("cache", serve.DefaultCacheSize, "response cache entries (negative disables)")
+	cacheSize := fs.Int("cache", serve.DefaultCacheSize, "response cache and body alias entries (negative disables both)")
 	cacheShards := fs.Int("cache-shards", serve.DefaultCacheShards, "response cache lock shards (power of two; 1 = single global LRU)")
 	traceBuf := fs.Int("tracebuf", serve.DefaultTraceBuffer, "completed request traces retained for GET /v1/trace")
 	debugAddr := fs.String("debug-addr", "", "also serve net/http/pprof on this `host:port` (empty: disabled)")

@@ -17,7 +17,8 @@
 //     the rendezvous order on connect errors and 5xx responses. Client
 //     faults — 400 "domain" above all — are never retried; in fact a
 //     spec that fails validation never reaches the ring at all, because
-//     the gateway parses it first to compute the routing fingerprint.
+//     the gateway parses it first to compute the routing fingerprint
+//     (a repeated body is only hashed: see serve.Alias).
 //   - Hedged requests: when the preferred replica hasn't answered
 //     within its own recent latency quantile, a second attempt chain
 //     starts on the next-choice replica and the first answer wins; the
@@ -55,7 +56,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/robust"
-	"repro/internal/scenario"
 	"repro/internal/serve"
 )
 
@@ -83,7 +83,6 @@ const (
 	DefaultHedgeQuantile    = 0.9
 	DefaultStaleCacheSize   = 256
 	DefaultDrainTimeout     = 10 * time.Second
-	defaultMaxSpecBytes     = 1 << 20
 )
 
 // Config tunes one Gateway. Replicas is required; everything else
@@ -216,6 +215,7 @@ type Gateway struct {
 	client   *http.Client
 	mux      *http.ServeMux
 	stale    *staleCache
+	alias    *serve.Alias // route + body digest → routing fingerprint
 	reg      *obs.Registry
 
 	draining  atomic.Bool
@@ -241,6 +241,7 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	g := &Gateway{
 		cfg:   cfg,
 		stale: newStaleCache(cfg.staleCacheSize()),
+		alias: serve.NewAlias(serve.DefaultCacheSize),
 		reg:   reg,
 		client: &http.Client{
 			Transport: &http.Transport{
@@ -302,6 +303,9 @@ func (g *Gateway) Draining() bool { return g.draining.Load() }
 
 // StaleLen returns the stale-reserve occupancy (tests).
 func (g *Gateway) StaleLen() int { return g.stale.Len() }
+
+// AliasLen returns the body-alias occupancy (tests).
+func (g *Gateway) AliasLen() int { return g.alias.Len() }
 
 // ReplicaHits returns proxy attempts per replica base URL (tests: the
 // domain-no-retry proof is every count staying zero).
@@ -444,78 +448,36 @@ func (g *Gateway) finish(w http.ResponseWriter, res *proxyResult, attempts int, 
 	writeErr(w, http.StatusServiceUnavailable, kindUnavailable, ferr, "")
 }
 
-// readBody reads up to limit bytes of request body.
-func readBody(r *http.Request, limit int64) ([]byte, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
-	if err != nil {
-		return nil, fmt.Errorf("reading body: %w", err)
-	}
-	if int64(len(body)) > limit {
-		return nil, fmt.Errorf("body exceeds %d bytes", limit)
-	}
-	return body, nil
-}
-
-// handleEval is the partitioned, hedged, failing-over eval route. The
-// gateway parses the spec itself first: that yields the routing
-// fingerprint, and it means a domain-invalid spec is answered 400
-// without consuming a single ring attempt — the no-retry-on-400
-// guarantee holds by construction.
+// handleEval is the partitioned, hedged, failing-over eval route.
 func (g *Gateway) handleEval(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(r, defaultMaxSpecBytes)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, kindBadRequest, err, "")
-		return
-	}
-	sp, err := scenario.ParseSpec(body)
-	if err != nil {
-		kind := kindBadRequest
-		if errors.Is(err, robust.ErrDomain) {
-			kind = kindDomain
-		}
-		w.Header().Set(AttemptsHeader, "0")
-		writeErr(w, http.StatusBadRequest, kind, err, "")
-		return
-	}
-	fp, err := serve.FingerprintSpec(sp)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, kindInternal, err, "")
-		return
-	}
-	ctx, cancel, err := g.budgetCtx(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, kindBadRequest, err, "")
-		return
-	}
-	defer cancel()
-	order := rendezvousOrder(g.replicas, fp)
-	res, attempts, ferr := g.forwardHedged(ctx, order, http.MethodPost, "/v1/eval", "", body, true)
-	g.finish(w, res, attempts, ferr, fp)
+	proxyQuery(g, w, r, serve.EvalRoute)
 }
 
-// handleOptimize routes inverse design-space queries exactly like eval:
-// parse first (domain-invalid queries never cost a ring attempt), then
-// rendezvous-route on the optimize fingerprint — the same key the
-// replicas cache the rendered search under, so repeated queries land on
-// the replica that already holds the answer.
+// handleOptimize routes inverse design-space queries exactly like eval,
+// on the optimize fingerprint — the same key the replicas cache the
+// rendered search under, so repeated queries land on the replica that
+// already holds the answer.
 func (g *Gateway) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(r, defaultMaxSpecBytes)
-	if err != nil {
+	proxyQuery(g, w, r, serve.OptimizeRoute)
+}
+
+// proxyQuery routes one spec body by its canonical fingerprint. The
+// gateway resolves the fingerprint itself, through the same hash-first
+// alias the replicas use: a repeated body is hashed and looked up, a new
+// one strictly parsed. That yields the routing key, and it means a
+// domain-invalid spec is answered 400 without consuming a single ring
+// attempt — the no-retry-on-400 guarantee holds by construction.
+func proxyQuery[T any](g *Gateway, w http.ResponseWriter, r *http.Request, rt serve.Route[T]) {
+	q, err := rt.Resolve(r.Context(), g.alias, r.Body)
+	switch {
+	case errors.Is(err, serve.ErrBody):
 		writeErr(w, http.StatusBadRequest, kindBadRequest, err, "")
 		return
-	}
-	osp, err := scenario.ParseOptimizeSpec(body)
-	if err != nil {
-		kind := kindBadRequest
-		if errors.Is(err, robust.ErrDomain) {
-			kind = kindDomain
-		}
+	case errors.Is(err, robust.ErrDomain):
 		w.Header().Set(AttemptsHeader, "0")
-		writeErr(w, http.StatusBadRequest, kind, err, "")
+		writeErr(w, http.StatusBadRequest, kindDomain, err, "")
 		return
-	}
-	fp, err := serve.FingerprintOptimizeSpec(osp)
-	if err != nil {
+	case err != nil:
 		writeErr(w, http.StatusInternalServerError, kindInternal, err, "")
 		return
 	}
@@ -525,15 +487,15 @@ func (g *Gateway) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	order := rendezvousOrder(g.replicas, fp)
-	res, attempts, ferr := g.forwardHedged(ctx, order, http.MethodPost, "/v1/optimize", "", body, true)
-	g.finish(w, res, attempts, ferr, fp)
+	order := rendezvousOrder(g.replicas, q.FP)
+	res, attempts, ferr := g.forwardHedged(ctx, order, http.MethodPost, "/v1/"+rt.Domain, "", q.Body, true)
+	g.finish(w, res, attempts, ferr, q.FP)
 }
 
 // handleValidate fans a validation request to any healthy replica —
 // validation is stateless, so round-robin spreads the parse load.
 func (g *Gateway) handleValidate(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(r, defaultMaxSpecBytes)
+	body, err := serve.ReadBody(r.Body)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, kindBadRequest, err, "")
 		return
@@ -581,33 +543,37 @@ func (g *Gateway) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 type CacheFanout struct {
 	Replicas map[string]json.RawMessage `json:"replicas"`
 	Errors   map[string]string          `json:"errors,omitempty"`
-	// StalePurged reports how many entries DELETE dropped from the
-	// gateway's own stale-response reserve (absent on GET).
+	// StalePurged and AliasPurged report how many entries DELETE dropped
+	// from the gateway's own stale-response reserve and body alias (both
+	// absent on GET).
 	StalePurged *int `json:"stale_purged,omitempty"`
+	AliasPurged *int `json:"alias_purged,omitempty"`
 }
 
 // handleCacheGet fans the cache introspection out to every replica and
 // aggregates — the fleet-wide view that shows the keyspace partition.
 func (g *Gateway) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	g.fanout(w, r, http.MethodGet, r.URL.RawQuery, nil)
+	g.fanout(w, r, http.MethodGet, r.URL.RawQuery, CacheFanout{})
 }
 
 // handleCacheDelete purges every replica's caches — and the gateway's own
-// stale-response reserve in the same operation. The reserve holds
-// last-known-good bodies for degraded serving; leaving it populated after
-// an operator-requested invalidation would let a post-purge total-ring
-// failure serve exactly the results the operator just invalidated.
+// stale-response reserve and body alias in the same operation. The
+// reserve holds last-known-good bodies for degraded serving; leaving it
+// populated after an operator-requested invalidation would let a
+// post-purge total-ring failure serve exactly the results the operator
+// just invalidated. The alias goes with it, as it does at the replicas:
+// an invalidation leaves no derived state behind.
 func (g *Gateway) handleCacheDelete(w http.ResponseWriter, r *http.Request) {
-	purged := g.stale.Purge()
-	g.fanout(w, r, http.MethodDelete, "", &purged)
+	stale, alias := g.stale.Purge(), g.alias.Purge()
+	g.fanout(w, r, http.MethodDelete, "", CacheFanout{StalePurged: &stale, AliasPurged: &alias})
 }
 
-// handleCacheGet and handleCacheDelete share fanout; stalePurged is nil
-// on GET.
-func (g *Gateway) fanout(w http.ResponseWriter, r *http.Request, method, query string, stalePurged *int) {
+// handleCacheGet and handleCacheDelete share fanout; out carries the
+// gateway's own purge counts on DELETE.
+func (g *Gateway) fanout(w http.ResponseWriter, r *http.Request, method, query string, out CacheFanout) {
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.healthTimeout()*4)
 	defer cancel()
-	out := CacheFanout{Replicas: make(map[string]json.RawMessage, len(g.replicas)), StalePurged: stalePurged}
+	out.Replicas = make(map[string]json.RawMessage, len(g.replicas))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for _, rep := range g.replicas {

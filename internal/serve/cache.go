@@ -10,7 +10,8 @@ import (
 )
 
 // respCache is a bounded LRU of rendered responses keyed by spec
-// fingerprint. The solver cache underneath already memoizes the math;
+// fingerprint (and, behind Alias, of fingerprints keyed by body digest).
+// The solver cache underneath already memoizes the math;
 // this layer additionally skips spec parsing, engine dispatch, and JSON
 // rendering for repeated queries — the common case for a dashboard
 // polling a fixed what-if set. It tracks per-entry hit counts, lifetime

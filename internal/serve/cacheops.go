@@ -10,17 +10,19 @@ import (
 
 // CacheInfoResponse is the GET /v1/cache body: measured occupancy and
 // traffic for both caching layers — the rendered-response LRU in front
-// and the memoized solver cache underneath. ?top=N sizes the hottest-
-// fingerprint rankings (default 10).
+// and the memoized solver cache underneath — plus the body alias ahead of
+// them. ?top=N sizes the hottest-fingerprint rankings (default 10).
 type CacheInfoResponse struct {
 	ResponseCache RespCacheInfo `json:"response_cache"`
 	SolverCache   scaling.Info  `json:"solver_cache"`
+	Alias         RespCacheInfo `json:"alias"`
 }
 
 // CachePurgeResponse is the DELETE /v1/cache body.
 type CachePurgeResponse struct {
 	ResponseEntriesPurged int `json:"response_entries_purged"`
 	SolverEntriesPurged   int `json:"solver_entries_purged"`
+	AliasEntriesPurged    int `json:"alias_entries_purged"`
 }
 
 // CacheInfo returns both cache layers' introspection — the same view
@@ -30,6 +32,7 @@ func (s *Server) CacheInfo(topN int) CacheInfoResponse {
 	return CacheInfoResponse{
 		ResponseCache: s.cache.Info(topN),
 		SolverCache:   s.engine.Cache.Info(topN),
+		Alias:         s.alias.Info(),
 	}
 }
 
@@ -47,12 +50,14 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.CacheInfo(topN))
 }
 
-// handleCacheDelete empties both cache layers (fleet ops: after a model
-// or catalog change, stale rendered responses and memoized solves must
-// not survive). Lifetime hit/miss counters are preserved.
+// handleCacheDelete empties both cache layers and the body alias (fleet
+// ops: after a model or catalog change, stale rendered responses,
+// memoized solves and body → fingerprint mappings must not survive).
+// Lifetime hit/miss counters are preserved.
 func (s *Server) handleCacheDelete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, CachePurgeResponse{
 		ResponseEntriesPurged: s.cache.Purge(),
 		SolverEntriesPurged:   s.engine.Cache.Purge(),
+		AliasEntriesPurged:    s.alias.Purge(),
 	})
 }

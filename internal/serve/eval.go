@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 
@@ -15,11 +14,6 @@ import (
 	"repro/internal/scaling"
 	"repro/internal/scenario"
 )
-
-// maxSpecBytes bounds an eval request body. The largest shipped example
-// spec is under 2 KiB; 1 MiB leaves three orders of magnitude of
-// headroom while keeping a hostile client from ballooning the heap.
-const maxSpecBytes = 1 << 20
 
 // CacheHeader names the response header carrying the cache disposition
 // ("hit", "miss", "shared"). Exported so the fleet gateway can relay the
@@ -60,43 +54,41 @@ type CacheStats struct {
 	Misses uint64 `json:"misses"`
 }
 
-// handleEval evaluates a scenario.Spec JSON body. The flow is the
-// serving pipeline in miniature: parse strictly → fingerprint → response
-// cache → singleflight → shared engine (itself backed by the memoized
-// solver cache) → render once, cache, reply.
+// handleEval evaluates a scenario.Spec JSON body through the serving
+// pipeline: hash-first fingerprint → response cache → singleflight →
+// shared engine (itself backed by the memoized solver cache) → render
+// once, cache, reply.
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
+	serveQuery(s, w, r, EvalRoute, "serve.eval", func(ctx context.Context, sp *scenario.Spec) ([]byte, error) {
+		if s.evalGate != nil {
+			s.evalGate(ctx, sp)
+		}
+		o, err := s.engine.Evaluate(ctx, sp)
+		if err != nil {
+			return nil, err
+		}
+		return render(ctx, func() ([]byte, error) { return renderOutcome(o) })
+	})
+}
+
+// serveQuery is the pipeline every spec route shares. rt.Resolve turns
+// the body into its canonical fingerprint (from the alias when the exact
+// bytes were seen before); the response cache is then probed exactly
+// once. On a miss the singleflight leader parses the body if the alias
+// skipped that, then runs solve — which computes and renders the
+// response — and caches the bytes.
+func serveQuery[T any](s *Server, w http.ResponseWriter, r *http.Request, rt Route[T], point string,
+	solve func(ctx context.Context, spec T) ([]byte, error)) {
 	ctx := r.Context()
 	tr := obs.TraceFrom(ctx)
 
-	parseSpan := obs.StartTraceSpanLeaf(ctx, StageParse)
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
+	q, err := rt.Resolve(ctx, s.alias, r.Body)
 	if err != nil {
-		parseSpan.End()
-		writeError(w, r, http.StatusBadRequest, kindBadRequest, fmt.Errorf("reading body: %w", err))
-		return
-	}
-	if len(body) > maxSpecBytes {
-		parseSpan.End()
-		writeError(w, r, http.StatusBadRequest, kindBadRequest,
-			fmt.Errorf("spec exceeds %d bytes", maxSpecBytes))
-		return
-	}
-	sp, err := scenario.ParseSpec(body)
-	parseSpan.End()
-	if err != nil {
-		writeModelError(w, r, err) // ErrDomain-classified → 400 with kind "domain"
-		return
-	}
-
-	fpSpan := obs.StartTraceSpanLeaf(ctx, StageFingerprint)
-	key, err := FingerprintSpec(sp)
-	fpSpan.End()
-	if err != nil {
-		writeModelError(w, r, err)
+		writeModelError(w, r, err) // ErrBody → 400 "bad_request", ErrDomain → 400 "domain"
 		return
 	}
 	lookSpan := obs.StartTraceSpanLeaf(ctx, StageCacheLookup)
-	cached, ok := s.cache.Get(key)
+	cached, ok := s.cache.Get(q.FP)
 	lookSpan.End()
 	if ok {
 		s.mCacheHits.Inc()
@@ -112,30 +104,25 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	// it out, so followers' error bodies name the trace that did the
 	// failing work.
 	sfctx, sfSpan := obs.StartTraceSpan(ctx, StageSingleflight)
-	resp, shared, err := s.flight.Do(key, func() ([]byte, error) {
+	resp, shared, err := s.flight.Do(q.FP, func() ([]byte, error) {
 		// Chaos hook: a seeded BANDWALL_FAULTS plan can make this replica
 		// error, hang (sleep), or panic here. Panics are contained by the
 		// singleflight group's robust.Safe wrapper into a 500 "panic" body —
 		// the failure mode the fleet gateway's failover must absorb.
-		if err := robust.Hit(sfctx, "serve.eval"); err != nil {
+		if err := robust.Hit(sfctx, point); err != nil {
 			return nil, robust.WithTraceID(err, tr.ID())
 		}
-		if s.evalGate != nil {
-			s.evalGate(sfctx, sp)
+		spec, err := rt.Spec(sfctx, &q)
+		if err != nil {
+			return nil, robust.WithTraceID(err, tr.ID())
 		}
-		o, err := s.engine.Evaluate(sfctx, sp)
+		rendered, err := solve(sfctx, spec)
 		if err != nil {
 			return nil, robust.WithTraceID(err, tr.ID())
 		}
 		s.solveCount.Add(1)
 		s.mSolves.Inc()
-		renderSpan := obs.StartTraceSpanLeaf(sfctx, StageRender)
-		rendered, err := renderOutcome(o)
-		renderSpan.End()
-		if err != nil {
-			return nil, robust.WithTraceID(err, tr.ID())
-		}
-		s.cache.Put(key, rendered)
+		s.cache.Put(q.FP, rendered)
 		return rendered, nil
 	})
 	sfSpan.End()
@@ -154,6 +141,13 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	}
 	tr.SetAttr("cache", flag)
 	writeCached(ctx, w, resp, flag)
+}
+
+// render runs f as the pipeline's render stage.
+func render(ctx context.Context, f func() ([]byte, error)) ([]byte, error) {
+	span := obs.StartTraceSpanLeaf(ctx, StageRender)
+	defer span.End()
+	return f()
 }
 
 // writeCached writes a pre-rendered JSON response with its cache

@@ -38,13 +38,16 @@ type httpError struct {
 }
 
 // classify maps a model/solver error onto an HTTP status and error
-// kind following the robust taxonomy: domain violations are the
+// kind following the robust taxonomy: an unreadable or oversized body
+// is a bad request, domain violations are the
 // client's fault, cancellation is a timeout, contained panics and
 // everything else are server faults — and none of them may take the
 // process down.
 func classify(err error) (status int, kind string) {
 	var pe *robust.PanicError
 	switch {
+	case errors.Is(err, ErrBody):
+		return http.StatusBadRequest, kindBadRequest
 	case errors.Is(err, robust.ErrDomain):
 		return http.StatusBadRequest, kindDomain
 	case robust.Classify(err) == robust.Canceled:

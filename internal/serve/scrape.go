@@ -163,11 +163,11 @@ func ScrapeMetrics(ctx context.Context, client *http.Client, baseURL string) (Me
 	}
 
 	type line struct {
-		Kind    string  `json:"kind"`
-		Name    string  `json:"name"`
+		Kind    string      `json:"kind"`
+		Name    string      `json:"name"`
 		Value   json.Number `json:"value"`
-		Count   uint64  `json:"count"`
-		Sum     float64 `json:"sum"`
+		Count   uint64      `json:"count"`
+		Sum     float64     `json:"sum"`
 		Buckets []struct {
 			LE       *float64 `json:"le"`
 			Count    uint64   `json:"count"`

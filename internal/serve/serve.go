@@ -24,8 +24,9 @@
 // (ErrDomain→400, cancellation→504, contained panics→500 without
 // killing the process), a singleflight layer that collapses concurrent
 // identical spec evaluations into one solve, a bounded LRU response
-// cache, structured access logging, and graceful shutdown that drains
-// in-flight evaluations.
+// cache behind a hash-first body alias (a repeated request body is
+// hashed and looked up, not parsed again), structured access logging,
+// and graceful shutdown that drains in-flight evaluations.
 //
 // Every request is traced, always-on: the handler pipeline records a
 // per-stage span tree (admission → parse → fingerprint → cache lookup →
@@ -147,11 +148,12 @@ type Server struct {
 	engine *scenario.Engine
 	opt    *optimize.Optimizer // shares the engine's solver cache
 
-	sem    chan struct{} // admission slots for the heavy endpoints
-	flight *group        // collapses concurrent identical evals
-	cache  *respCache    // fingerprint → rendered response
-	ring   *traceRing    // recent completed request traces
-	reg    *obs.Registry // resolved once at construction (may be nil)
+	sem    chan struct{}                        // admission slots for the heavy endpoints
+	flight *group                               // collapses concurrent identical evals
+	cache  *respCache                           // fingerprint → rendered response
+	alias  *Alias                               // route + body digest → fingerprint
+	ring   *traceRing                           // recent completed request traces
+	reg    *obs.Registry                        // resolved once at construction (may be nil)
 	stageH map[string]map[string]*obs.Histogram // route → stage → histogram, read-only after NewServer
 
 	accessLog *slog.Logger
@@ -248,6 +250,7 @@ func NewServer(cfg Config) *Server {
 		sem:        make(chan struct{}, cfg.maxInflight()),
 		flight:     newGroup(),
 		cache:      newRespCacheShards(cfg.CacheSize, cfg.CacheShards),
+		alias:      NewAlias(cfg.CacheSize),
 		ring:       newTraceRing(cfg.traceBuffer()),
 		reg:        reg,
 		mReqs:      reg.Counter(MetricRequests),

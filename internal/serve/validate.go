@@ -1,12 +1,6 @@
 package serve
 
-import (
-	"fmt"
-	"io"
-	"net/http"
-
-	"repro/internal/scenario"
-)
+import "net/http"
 
 // ValidateResponse is the POST /v1/validate success body: the spec
 // parsed and validated without a single solver call. Fingerprint is the
@@ -26,33 +20,22 @@ type ValidateResponse struct {
 // evaluating anything. Invalid specs get the robust taxonomy error body
 // (ErrDomain → 400 "domain"), exactly what /v1/eval would have said,
 // which makes this the cheap per-keystroke check: no admission slot, no
-// deadline, no solver work.
+// deadline, no solver work. It shares the eval route's alias, so a body
+// validated here is hashed, not parsed, by its first /v1/eval.
 func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, kindBadRequest, fmt.Errorf("reading body: %w", err))
-		return
+	q, err := EvalRoute.Resolve(r.Context(), s.alias, r.Body)
+	if err == nil {
+		_, err = EvalRoute.Spec(r.Context(), &q)
 	}
-	if len(body) > maxSpecBytes {
-		writeError(w, r, http.StatusBadRequest, kindBadRequest,
-			fmt.Errorf("spec exceeds %d bytes", maxSpecBytes))
-		return
-	}
-	sp, err := scenario.ParseSpec(body)
-	if err != nil {
-		writeModelError(w, r, err)
-		return
-	}
-	key, err := FingerprintSpec(sp)
 	if err != nil {
 		writeModelError(w, r, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, ValidateResponse{
 		Valid:       true,
-		ID:          sp.ID,
-		Title:       sp.Title,
-		Fingerprint: key,
-		Cases:       len(sp.Cases),
+		ID:          q.Spec.ID,
+		Title:       q.Spec.Title,
+		Fingerprint: q.FP,
+		Cases:       len(q.Spec.Cases),
 	})
 }

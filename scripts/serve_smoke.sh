@@ -126,10 +126,11 @@ if [[ "$OPT_RESP" != "$OPT_RESP2" ]]; then
 fi
 
 echo "== scrape /metrics"
-# Capture first: grep -q closing the pipe early would SIGPIPE curl and
-# trip pipefail even on a healthy response.
+# Capture first, then match from a here-string: grep -q closing a pipe
+# early would SIGPIPE its writer (curl, or echo on a body over the 64 KiB
+# pipe buffer) and trip pipefail even on a healthy response.
 METRICS="$(curl -sf "$BASE/metrics")"
-echo "$METRICS" | grep -q '^bandwall_serve_requests ' || {
+grep -q '^bandwall_serve_requests ' <<<"$METRICS" || {
   echo "FAIL: /metrics missing bandwall_serve_requests" >&2
   exit 1
 }
