@@ -135,9 +135,10 @@ func ByID(id string) (Experiment, bool) {
 
 // RunOne executes one experiment wrapped in an obs span named
 // "exp.<id>", so any live metrics registry records its wall-clock and
-// allocation footprint. With collection disabled the span is a free
-// no-op. This is the entry point the CLI and the parallel driver share;
-// calling e.Run directly skips instrumentation.
+// allocation footprint, and a traced context (POST
+// /v1/experiments/{id}/run) gains it as a stage. With neither the span
+// is a free no-op. This is the entry point the CLI and the parallel
+// driver share; calling e.Run directly skips instrumentation.
 //
 // RunOne is additionally the pipeline's panic barrier: any panic escaping
 // the driver (library invariant violations, injected worker panics) is
@@ -150,7 +151,7 @@ func RunOne(ctx context.Context, e Experiment, o Options) (r *Result, err error)
 		return nil, cerr
 	}
 	ctx = robust.WithScope(ctx, e.ID)
-	sp := obs.StartSpan("exp." + e.ID)
+	ctx, sp := obs.StartSpan(ctx, "exp."+e.ID)
 	defer sp.End()
 	defer robust.Recover(&err)
 	if ierr := robust.Hit(ctx, "exp.run"); ierr != nil {

@@ -65,3 +65,33 @@ func BenchmarkEnabledRegistryLookup(b *testing.B) {
 		r.Counter("numeric.bracket.failures").Inc()
 	}
 }
+
+// BenchmarkRegistrySpan is one registry span open/close, the cost every
+// instrumented layer (an experiment, an engine evaluation, an optimizer
+// search) pays per call when a registry is installed. The log is capped
+// as a long-lived server caps it, so the benchmark runs in bounded
+// memory.
+func BenchmarkRegistrySpan(b *testing.B) {
+	r := NewRegistry()
+	r.SetSpanCap(1024)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sp := r.StartSpan("s")
+		sp.End()
+	}
+}
+
+// BenchmarkRegistrySpanParallel is BenchmarkRegistrySpan from every P at
+// once, as concurrent requests open spans on a serving replica. A span
+// whose allocation read stopped the world would serialize here.
+func BenchmarkRegistrySpanParallel(b *testing.B) {
+	r := NewRegistry()
+	r.SetSpanCap(1024)
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			sp := r.StartSpan("s")
+			sp.End()
+		}
+	})
+}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"strings"
@@ -113,7 +114,7 @@ func TestDefaultRegistrySwap(t *testing.T) {
 	if Default() != nil {
 		t.Fatal("SetDefault(nil) must disable")
 	}
-	if sp := StartSpan("x"); sp != nil {
+	if _, sp := StartSpan(context.Background(), "x"); sp != nil {
 		t.Error("StartSpan must return nil when disabled")
 	}
 	r := NewRegistry()

@@ -13,20 +13,24 @@ import (
 // Request-scoped tracing. A Trace is a bounded span tree for ONE unit of
 // work (an HTTP request, typically): stages open child spans via a
 // context-propagated handle, each recording its wall-clock duration and
-// the process-wide heap-allocation delta while it was open. Unlike the
-// run-scoped Registry spans (which accumulate for a whole CLI run), a
-// Trace is cheap enough to be always-on in a server hot path: span
-// start/end cost two time.Now calls and one short mutex'd append, with
-// the first few spans carved from an arena inside the Trace itself
-// (no per-span heap allocation). Per-span allocation deltas are
-// SAMPLED — one trace in allocSampleEvery carries them — because each
-// delta costs a runtime/metrics read per span end (no stop-the-world,
-// unlike runtime.ReadMemStats, but a few hundred ns; the start value
-// reuses the trace's most recent sample, so allocation between spans is
-// attributed to the next span — exact for the sequential stage spans a
-// request pipeline records). The trace-level allocation total is always
-// exact. The span list is capped so a pathological request cannot
-// balloon memory.
+// the process-wide heap-allocation delta while it was open. A Trace is
+// cheap enough to be always-on in a server hot path: span start/end cost
+// two time.Now calls and one short mutex'd append, with the first few
+// spans carved from an arena inside the Trace itself (no per-span heap
+// allocation). Trace spans and Registry spans read allocation figures
+// through the same runtime/metrics reader (readHeapAllocs), which never
+// stops the world but costs a few hundred ns. A Registry span reads it at
+// start and end; a trace SAMPLES per-span deltas instead — one trace in
+// allocSampleEvery carries them, and the start value reuses the trace's
+// most recent read, so allocation between spans is attributed to the
+// next span (exact for the sequential stage spans a request pipeline
+// records). The trace-level allocation total is read on every trace. The
+// span list is capped so a pathological request cannot balloon memory.
+//
+// Stage spans (StartTraceSpan, StartTraceSpanLeaf) are trace-only, so
+// per-request stages never append to a registry log. A layer that a CLI
+// run also times (experiment, engine, optimizer) opens its trace stage
+// and its registry record with the one StartSpan call.
 //
 // Propagation is by context:
 //
@@ -83,18 +87,41 @@ func NewTraceID() string {
 	return string(b[:])
 }
 
-// heapAllocBytes reads the cumulative heap allocation counter via
-// runtime/metrics — a cheap read with no stop-the-world, unlike
-// runtime.ReadMemStats.
-func heapAllocBytes() uint64 {
-	var s [1]metrics.Sample
-	s[0].Name = "/gc/heap/allocs:bytes"
+// heapAllocs is a reading of the process-wide cumulative heap
+// allocation counters: bytes is MemStats.TotalAlloc, objects is
+// MemStats.Mallocs (tiny blocks included).
+type heapAllocs struct{ bytes, objects uint64 }
+
+// readHeapAllocs is the one allocation reader behind every span: a
+// runtime/metrics read with no stop-the-world. A runtime.MemStats read
+// gives the same figures but stops the world to do it: ~13 µs against
+// ~0.8 µs here on a 2-CPU Xeon VM, plus a pause for every goroutine.
+func readHeapAllocs() heapAllocs {
+	s := allocSamples.Get().(*[3]metrics.Sample)
 	metrics.Read(s[:])
+	var a heapAllocs
 	if s[0].Value.Kind() == metrics.KindUint64 {
-		return s[0].Value.Uint64()
+		a.bytes = s[0].Value.Uint64()
 	}
-	return 0
+	for _, o := range s[1:] {
+		if o.Value.Kind() == metrics.KindUint64 {
+			a.objects += o.Value.Uint64()
+		}
+	}
+	allocSamples.Put(s)
+	return a
 }
+
+// allocSamples recycles readHeapAllocs' sample buffers: metrics.Read
+// makes its argument escape, so a fresh buffer would cost one heap
+// allocation per read.
+var allocSamples = sync.Pool{New: func() any {
+	return &[3]metrics.Sample{
+		{Name: "/gc/heap/allocs:bytes"},
+		{Name: "/gc/heap/allocs:objects"},
+		{Name: "/gc/heap/tiny/allocs:objects"},
+	}
+}}
 
 // TraceSpanRecord is one completed span within a trace. Parent 0 is the
 // request root; span IDs start at 1 in start order.
@@ -159,7 +186,7 @@ func NewTrace(id, route string, spanCap int) *Trace {
 		id:          id,
 		route:       route,
 		start:       time.Now(),
-		a0:          heapAllocBytes(),
+		a0:          readHeapAllocs().bytes,
 		allocDetail: allocSample.Add(1)%allocSampleEvery == 1,
 		cap:         spanCap,
 		spans:       make([]TraceSpanRecord, 0, 8),
@@ -197,7 +224,7 @@ func (t *Trace) Finish(status int) *TraceRecord {
 		return nil
 	}
 	wall := time.Since(t.start)
-	alloc := heapAllocBytes() - t.a0
+	alloc := readHeapAllocs().bytes - t.a0
 	t.mu.Lock()
 	rec := &TraceRecord{
 		ID:         t.id,
@@ -301,16 +328,30 @@ func (s *TraceSpan) End() {
 	}
 	var alloc uint64
 	if s.tr.allocDetail {
-		alloc = heapAllocBytes()
+		alloc = readHeapAllocs().bytes
+	}
+	s.end(time.Now(), alloc)
+}
+
+// end records the span as closed at now. alloc is the heap-allocation
+// counter read at now, used only when the trace samples per-span deltas.
+// No-op on nil.
+func (s *TraceSpan) end(now time.Time, alloc uint64) {
+	if s == nil {
+		return
+	}
+	var delta uint64
+	if s.tr.allocDetail {
 		s.tr.lastAlloc.Store(alloc)
+		delta = alloc - s.a0
 	}
 	rec := TraceSpanRecord{
 		ID:         s.id,
 		Parent:     s.parent,
 		Name:       s.name,
 		StartNS:    s.start.Sub(s.tr.start).Nanoseconds(),
-		WallNS:     time.Since(s.start).Nanoseconds(),
-		AllocBytes: alloc - s.a0,
+		WallNS:     now.Sub(s.start).Nanoseconds(),
+		AllocBytes: delta,
 	}
 	t := s.tr
 	t.mu.Lock()

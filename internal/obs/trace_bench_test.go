@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-func BenchmarkHeapAllocBytes(b *testing.B) {
+func BenchmarkReadHeapAllocs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		heapAllocBytes()
+		readHeapAllocs()
 	}
 }
 

@@ -180,3 +180,67 @@ func TestRegistrySpanCap(t *testing.T) {
 		t.Errorf("after recap: spans = %d, want 2", got)
 	}
 }
+
+// TestStartSpanFeedsTraceAndRegistry pins the one-call span: with a trace
+// in the context and a default registry installed, one StartSpan records
+// a trace stage (parenting nested stages) and a registry record over the
+// same start and end; with either sink absent it feeds the other alone,
+// and with neither it is a nil span that costs no allocation.
+func TestStartSpanFeedsTraceAndRegistry(t *testing.T) {
+	prev := Default()
+	defer SetDefault(prev)
+	reg := NewRegistry()
+	SetDefault(reg)
+
+	tr := NewTrace(NewTraceID(), "eval", 0)
+	ctx, sp := StartSpan(WithTrace(context.Background(), tr), "scenario.eval")
+	_, solve := StartTraceSpan(ctx, "scaling.solve")
+	solve.End()
+	sp.End()
+	rec := tr.Finish(200)
+	if len(rec.Spans) != 2 {
+		t.Fatalf("trace spans = %+v, want scaling.solve and scenario.eval", rec.Spans)
+	}
+	solveRec, evalRec := rec.Spans[0], rec.Spans[1]
+	if evalRec.Name != "scenario.eval" || solveRec.Parent != evalRec.ID {
+		t.Errorf("trace tree = %+v, want scaling.solve under scenario.eval", rec.Spans)
+	}
+	spans := reg.Snapshot().Spans
+	if len(spans) != 1 || spans[0].Name != "scenario.eval" {
+		t.Fatalf("registry spans = %+v, want one scenario.eval", spans)
+	}
+	if got := spans[0].Start.Sub(rec.Start).Nanoseconds(); got != evalRec.StartNS {
+		t.Errorf("registry start at +%d ns, trace stage at +%d ns: want one start time", got, evalRec.StartNS)
+	}
+	if spans[0].Wall.Nanoseconds() != evalRec.WallNS {
+		t.Errorf("registry wall %d ns, trace wall %d ns: want one end time", spans[0].Wall.Nanoseconds(), evalRec.WallNS)
+	}
+
+	// Untraced context: the registry record alone.
+	if _, sp := StartSpan(context.Background(), "exp.fig02"); sp == nil {
+		t.Fatal("untraced StartSpan with a registry must record")
+	} else {
+		sp.End()
+	}
+	if n := len(reg.Snapshot().Spans); n != 2 {
+		t.Errorf("registry spans = %d, want 2", n)
+	}
+
+	// No registry: the trace stage alone.
+	SetDefault(nil)
+	tr = NewTrace(NewTraceID(), "eval", 0)
+	_, sp = StartSpan(WithTrace(context.Background(), tr), "optimize.search")
+	sp.End()
+	if got := tr.Finish(200).Spans; len(got) != 1 || got[0].Name != "optimize.search" {
+		t.Errorf("trace-only spans = %+v, want one optimize.search", got)
+	}
+
+	// Neither: a nil span, free.
+	bg := context.Background()
+	if n := testing.AllocsPerRun(100, func() {
+		_, sp := StartSpan(bg, "x")
+		sp.End()
+	}); n != 0 {
+		t.Errorf("disabled StartSpan allocates %.1f allocs/op, want 0", n)
+	}
+}

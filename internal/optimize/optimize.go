@@ -182,10 +182,8 @@ func groupsOverlap(a, b []string) bool {
 // bounded worker pool with per-chunk cancellation checks and contained
 // panics; candidate ordering in the result is independent of scheduling.
 func (o *Optimizer) Search(ctx context.Context, osp *scenario.OptimizeSpec) (*Result, error) {
-	span := obs.StartSpan("optimize.search")
+	ctx, span := obs.StartSpan(ctx, "optimize.search")
 	defer span.End()
-	ctx, tspan := obs.StartTraceSpan(ctx, "optimize.search")
-	defer tspan.End()
 	if err := robust.Err(ctx); err != nil {
 		return nil, err
 	}

@@ -509,8 +509,8 @@ func (s *Server) Serve(ctx context.Context, l net.Listener) error {
 		Handler:           s.mux,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-	// ReadMemStats briefly stops the world, so the collector runs on a
-	// fixed coarse tick, never per-request.
+	// SampleRuntime's MemStats read briefly stops the world, so the
+	// collector runs on a fixed coarse tick, never per-request.
 	collectCtx, stopCollect := context.WithCancel(ctx)
 	defer stopCollect()
 	go s.collectRuntime(collectCtx)
