@@ -58,7 +58,7 @@ func MissCurveFastCtx(ctx context.Context, gen trace.Generator, base cachesim.Co
 }
 
 // MissCurveFastParallel is MissCurveFastCtx with the set-parallel worker
-// count pinned: 0 picks GOMAXPROCS, 1 forces the serial kernel, higher
+// count pinned: 0 picks GOMAXPROCS, 1 forces the serial feed, higher
 // values are rounded down to a power of two and capped so each worker
 // keeps at least minPartSets sets of the smallest swept size (the serial
 // fallback threshold). Output is bit-identical for every worker count —
@@ -142,29 +142,36 @@ func faCurve(ctx context.Context, gen trace.Generator, cfgs []cachesim.Config, w
 	return out, nil
 }
 
-// chunkAccesses is the streaming batch size: one buffer refill feeds every
-// profiler while the chunk is hot in cache.
+// chunkAccesses is the serial feed's batch size: one buffer refill feeds
+// every profiler while the chunk is hot in cache.
 const chunkAccesses = 4096
 
 // setCurve profiles set-associative sizes by streaming chunks of the
-// access stream through one lean per-set LRU model per size. The chunk is
-// packed once (lineAddr<<1|write words) and every profiler consumes the
-// packed form. Profilers are ordered largest-first and, for 8-way sweeps,
-// grouped into quintets driven by the fused kernel (runFused5), which
-// turns set-refinement inclusion — a miss in a group's largest cache
-// implies a miss in its four smaller ones — into an in-register skip of
-// the followers' lookups. Leftover sizes run the single-profiler packed
-// loop. Batcher generators (trace replays) hand chunks out as zero-copy
-// sub-slices.
+// access stream through one lean per-set LRU model per size. Profilers
+// are ordered largest-first and, for 8-way sweeps, grouped into quintets
+// driven by the fused kernel (runFused5), which turns set-refinement
+// inclusion — a miss in a group's largest cache implies a miss in its
+// four smaller ones — into an in-register skip of the followers'
+// lookups. Leftover sizes run the single-profiler kernels.
 //
-// When workers resolves above 1 (see parallelWorkers) and the sweep is
-// packable (Assoc ≤ 8), the set-parallel driver in feedParallel takes
-// over the feed; the per-set arrays and scratch come from a pooled arena
-// either way, so repeated sweeps stay near zero-alloc.
+// Every chunk goes through curveWorker.step (pack once, then the
+// kernels); the feeds differ only in how chunks reach it. When workers
+// resolves to 1 (see parallelWorkers), one worker owning every set runs
+// the step on this goroutine. Above 1, each worker owns one partition of
+// the set-index space and runs in its own goroutine; for generators
+// without a Batch method the accesses are collected into double buffers,
+// overlapping chunk k+1's collection with the workers' pass over chunk k.
+// A Batcher (trace replays) hands chunks out as zero-copy sub-slices
+// valid only until the generator advances, so that path waits out the
+// in-flight chunk before advancing. Worker counters reach the profilers
+// only at the end of the feed, so the hot path takes no locks. The
+// per-set arrays and scratch come from a pooled arena, so repeated
+// sweeps stay near zero-alloc.
 func setCurve(ctx context.Context, gen trace.Generator, cfgs []cachesim.Config, warmup, n, workers int) ([]cachesim.CurvePoint, error) {
 	ar := getArena()
 	defer putArena(ar)
-	profs := make([]*SetProfiler, len(cfgs))
+	pl := sweepPlan{profs: make([]*SetProfiler, len(cfgs))}
+	profs := pl.profs
 	for i, cfg := range cfgs {
 		p, err := newSetProfiler(cfg, ar)
 		if err != nil {
@@ -182,69 +189,58 @@ func setCurve(ctx context.Context, gen trace.Generator, cfgs []cachesim.Config, 
 	sort.Slice(order, func(a, b int) bool {
 		return cfgs[order[a]].SizeBytes > cfgs[order[b]].SizeBytes
 	})
-	var fused []fusedGroup
-	var single []int
 	i := 0
 	if profs[0].assoc == 8 {
 		for ; i+5 <= len(order); i += 5 {
-			var g fusedGroup
-			for j := 0; j < 5; j++ {
-				g.idx[j] = order[i+j]
-				g.p[j] = profs[order[i+j]]
-			}
-			fused = append(fused, g)
+			pl.fused = append(pl.fused, [5]int(order[i:i+5]))
 		}
 	}
-	for ; i < len(order); i++ {
-		single = append(single, order[i])
-	}
-	packable := profs[0].assoc <= 8
-	minSets := int(profs[0].setMask) + 1
-	for _, p := range profs[1:] {
-		if m := int(p.setMask) + 1; m < minSets {
-			minSets = m
-		}
-	}
-	if packable {
-		if w := parallelWorkers(workers, minSets); w > 1 {
-			return setCurveParallel(ctx, gen, cfgs, profs, fused, single, warmup, n, w, minSets, ar)
-		}
-	}
-	var packedBuf []uint64
-	if packable && len(single) > 0 {
-		packedBuf = ar.grab(chunkAccesses)[:0]
+	pl.single = order[i:]
+	minSets := int(profs[order[len(order)-1]].setMask) + 1
+
+	var (
+		ws       []*curveWorker
+		chunk    int
+		dispatch func([]trace.Access)
+		wait     = func() {}
+	)
+	if w := parallelWorkers(workers, minSets); w > 1 {
+		pr := startWorkers(pl, w, minSets, ar)
+		defer pr.stop()
+		ws, chunk, dispatch, wait = pr.workers, parallelChunk, pr.broadcast, pr.wait
+	} else {
+		cw := &curveWorker{plan: pl, buf: ar.grab(chunkAccesses), accs: ar.grabParts(len(profs))}
+		ws, chunk, dispatch = []*curveWorker{cw}, chunkAccesses, cw.step
 	}
 	batcher, _ := gen.(trace.Batcher)
-	var buf []trace.Access
+	var bufs [2][]trace.Access
 	if batcher == nil {
-		buf = ar.grabAccess(chunkAccesses)
+		// The serial step returns before the next collection starts, so
+		// one buffer serves it (bufs[1] aliases bufs[0]); the parallel
+		// feed double-buffers.
+		all := ar.grabAccess(min(len(ws), 2) * chunk)
+		bufs[0], bufs[1] = all[:chunk], all[len(all)-chunk:]
 	}
+	cur := 0
+	// wait returns at once when no chunk is in flight, so each feed ends
+	// (or aborts) with every dispatched chunk done.
 	feed := func(count int) error {
+		defer wait()
 		for count > 0 {
 			if err := robust.Err(ctx); err != nil {
 				return err
 			}
+			m := min(count, chunk)
 			var batch []trace.Access
 			if batcher != nil {
-				batch = batcher.Batch(min(count, chunkAccesses))
+				wait()
+				batch = batcher.Batch(m)
 			} else {
-				batch = trace.CollectInto(gen, buf[:min(count, chunkAccesses)])
+				batch = trace.CollectInto(gen, bufs[cur][:m])
+				wait()
 			}
-			for _, g := range fused {
-				runFused5(batch, profs[0].lineShift, g.p[0], g.p[1], g.p[2], g.p[3], g.p[4])
-			}
-			if len(single) > 0 {
-				if packable {
-					packed := packInto(packedBuf, batch, profs[0].lineShift)
-					for _, si := range single {
-						profs[si].runPacked(packed)
-					}
-				} else {
-					for _, si := range single {
-						profs[si].runShift(batch)
-					}
-				}
-			}
+			dispatch(batch)
+			cur ^= 1
 			count -= len(batch)
 		}
 		return nil
@@ -252,11 +248,16 @@ func setCurve(ctx context.Context, gen trace.Generator, cfgs []cachesim.Config, 
 	if err := feed(warmup); err != nil {
 		return nil, err
 	}
-	for _, p := range profs {
-		p.ResetStats()
+	for _, cw := range ws {
+		clear(cw.accs)
 	}
 	if err := feed(n - warmup); err != nil {
 		return nil, err
+	}
+	for _, cw := range ws {
+		for i, acc := range cw.accs {
+			profs[i].addPart(acc)
+		}
 	}
 	return curvePoints(cfgs, profs), nil
 }
@@ -271,74 +272,4 @@ func curvePoints(cfgs []cachesim.Config, profs []*SetProfiler) []cachesim.CurveP
 		out[i] = cachesim.CurvePoint{SizeBytes: cfgs[i].SizeBytes, Stats: st}
 	}
 	return out
-}
-
-// setCurveParallel is the set-parallel feed: w workers each own a
-// contiguous range of the smallest profiler's set-index space (which
-// partitions every profiler's sets at once — see parallel.go). The main
-// goroutine broadcasts each raw access batch and the workers fuse the
-// pack into their partition filter, so no serial packing pass sits in
-// front of the pool. For generators without a Batch method the accesses
-// are collected into double buffers, overlapping chunk k+1's collection
-// with the workers' pass over chunk k; a Batcher's slice is only valid
-// until the generator advances, so that path waits out the in-flight
-// chunk before advancing (the batch there is a ready-made slice, so
-// there is no collection work to overlap anyway). Worker counters merge
-// into the profilers only at the warmup boundary and the end of the
-// feed, so the hot path takes no locks.
-func setCurveParallel(ctx context.Context, gen trace.Generator, cfgs []cachesim.Config, profs []*SetProfiler, fused []fusedGroup, single []int, warmup, n, w, minSets int, ar *sweepArena) ([]cachesim.CurvePoint, error) {
-	run := startWorkers(w, minSets, ar, fused, single, profs)
-	defer run.stop()
-	batcher, _ := gen.(trace.Batcher)
-	var abufs [2][]trace.Access
-	if batcher == nil {
-		all := ar.grabAccess(2 * parallelChunk)
-		abufs[0], abufs[1] = all[:parallelChunk], all[parallelChunk:]
-	}
-	cur := 0
-	feed := func(count int) error {
-		pending := false
-		for count > 0 {
-			if err := robust.Err(ctx); err != nil {
-				if pending {
-					run.wait()
-				}
-				return err
-			}
-			m := min(count, parallelChunk)
-			var batch []trace.Access
-			if batcher != nil {
-				if pending {
-					run.wait()
-					pending = false
-				}
-				batch = batcher.Batch(m)
-			} else {
-				batch = trace.CollectInto(gen, abufs[cur][:m])
-				if pending {
-					run.wait()
-				}
-			}
-			run.broadcast(batch)
-			pending = true
-			cur ^= 1
-			count -= len(batch)
-		}
-		if pending {
-			run.wait()
-		}
-		return nil
-	}
-	if err := feed(warmup); err != nil {
-		return nil, err
-	}
-	run.merge(profs)
-	for _, p := range profs {
-		p.ResetStats()
-	}
-	if err := feed(n - warmup); err != nil {
-		return nil, err
-	}
-	run.merge(profs)
-	return curvePoints(cfgs, profs), nil
 }

@@ -1,6 +1,7 @@
 package mattson
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cachesim"
@@ -179,14 +180,17 @@ func TestSetProfilerMatchesCacheExactly(t *testing.T) {
 }
 
 func TestMissCurveFastMatchesBruteOnFig1Suite(t *testing.T) {
-	// The acceptance cross-validation: identical Stats at every point of
-	// the Fig 1 sweep for each suite workload, at reduced access counts.
+	// The acceptance cross-validation and the fused kernel's differential
+	// oracle: identical Stats at every point of the quick Fig 1 sweep
+	// (five 8-way sizes, one fused quintet) for each suite workload, at
+	// reduced access counts, on the serial feed and on four set-parallel
+	// workers.
 	build := suite.DefaultBuildOptions()
 	build.FootprintLines = 1 << 14
 	build.PhasedLines = 1024
 	build.PhasedDwell = 10_000
 	base := cachesim.Config{LineBytes: 64, Assoc: 8, Policy: cachesim.LRU, WriteBack: true, WriteAllocate: true}
-	sizes := cachesim.PowerOfTwoSizes(32*1024, 256*1024)
+	sizes := cachesim.PowerOfTwoSizes(32*1024, 512*1024)
 	const n, warmup = 30_000, 6_000
 	for _, wl := range suite.Paper {
 		gen, err := wl.Build(build)
@@ -198,13 +202,15 @@ func TestMissCurveFastMatchesBruteOnFig1Suite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast, err := MissCurveFast(trace.MustReplayer(tr), base, sizes, warmup, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range brute {
-			if fast[i].SizeBytes != brute[i].SizeBytes || fast[i].Stats != brute[i].Stats {
-				t.Errorf("%s size %d: brute %+v, fast %+v", wl.Name, brute[i].SizeBytes, brute[i].Stats, fast[i].Stats)
+		for _, workers := range []int{1, 4} {
+			fast, err := MissCurveFastParallel(context.Background(), trace.MustReplayer(tr), base, sizes, warmup, n, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range brute {
+				if fast[i].SizeBytes != brute[i].SizeBytes || fast[i].Stats != brute[i].Stats {
+					t.Errorf("%s workers=%d size %d: brute %+v, fast %+v", wl.Name, workers, brute[i].SizeBytes, brute[i].Stats, fast[i].Stats)
+				}
 			}
 		}
 	}

@@ -43,55 +43,6 @@ func TestParallelWorkers(t *testing.T) {
 	}
 }
 
-// TestFusedPackedMatchesFused pins the generated packed kernel against
-// runFused5, which it must stay in lockstep with: identical counters and
-// identical per-set state after the same stream.
-func TestFusedPackedMatchesFused(t *testing.T) {
-	base := cachesim.Config{
-		LineBytes: 64, Assoc: 8, Policy: cachesim.LRU,
-		WriteBack: true, WriteAllocate: true,
-	}
-	sizes := cachesim.PowerOfTwoSizes(32*1024, 512*1024)
-	build := func() [5]*SetProfiler {
-		var ps [5]*SetProfiler
-		for i, sz := range sizes {
-			cfg := base
-			cfg.SizeBytes = sizes[len(sizes)-1-i] // largest first
-			_ = sz
-			p, err := NewSetProfiler(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ps[i] = p
-		}
-		return ps
-	}
-	rng := rand.New(rand.NewSource(99))
-	batch := make([]trace.Access, 4096)
-	for i := range batch {
-		batch[i] = trace.Access{Addr: uint64(rng.Intn(1<<18) * 64), Write: rng.Intn(3) == 0}
-	}
-	a := build()
-	runFused5(batch, 6, a[0], a[1], a[2], a[3], a[4])
-
-	b := build()
-	packed := packInto(make([]uint64, 0, len(batch)), batch, 6)
-	c := runFused5Packed(packed, b[0], b[1], b[2], b[3], b[4])
-	for k := 0; k < 5; k++ {
-		b[k].flushPacked(len(batch), c[k])
-	}
-	for k := 0; k < 5; k++ {
-		if a[k].Stats() != b[k].Stats() {
-			t.Errorf("slot %d stats diverge: fused %+v packed %+v", k, a[k].Stats(), b[k].Stats())
-		}
-		for w := range a[k].ways {
-			if a[k].ways[w] != b[k].ways[w] {
-				t.Fatalf("slot %d ways[%d] diverge: %#x vs %#x", k, w, a[k].ways[w], b[k].ways[w])
-			}
-		}
-	}
-}
-
 // TestParallelMatchesSerial pins the headline determinism claim on the
 // canonical benchmark workload: the set-parallel sweep must produce
 // bit-identical CurvePoints to the serial kernel for every worker count.
@@ -133,20 +84,28 @@ func TestParallelMatchesSerial(t *testing.T) {
 // invariant (no two workers may ever touch the same set block).
 func TestParallelMatchesSerialRandomConfigs(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
-	trials := 12
+	// The first narrow trials draw the associativity from the fingerprint
+	// kernels' widths {1, 2, 4, 8}; the rest draw from every width the
+	// sweep covers, adding the shift kernel's 16 and 64.
+	narrow, trials := 12, 24
 	if testing.Short() {
-		trials = 4
+		narrow, trials = 4, 8
 	}
 	for trial := 0; trial < trials; trial++ {
-		assoc := []int{1, 2, 4, 8}[rng.Intn(4)]
+		assocs := []int{1, 2, 4, 8, 16, 64}
+		if trial < narrow {
+			assocs = assocs[:4]
+		}
+		assoc := assocs[rng.Intn(len(assocs))]
 		lineBytes := []int{32, 64, 128}[rng.Intn(3)]
 		base := cachesim.Config{
 			LineBytes: lineBytes, Assoc: assoc, Policy: cachesim.LRU,
 			WriteBack: true, WriteAllocate: true,
 		}
-		// Between 2 and 7 power-of-two sizes, smallest ≥ 32KB so even
-		// assoc=8/line=128 keeps ≥ 32 sets (enough for 2–4 workers).
-		lo := 32 * 1024 << rng.Intn(2)
+		// Between 2 and 5 power-of-two sizes, the smallest with ≥ 32
+		// sets (enough for 2–4 workers): 32KB covers every width ≤ 8.
+		lo := max(32*1024, 32*assoc*lineBytes) << rng.Intn(2)
+		minSets := lo / lineBytes / assoc
 		hi := lo << (1 + rng.Intn(4))
 		sizes := cachesim.PowerOfTwoSizes(lo, hi)
 		gen, err := workload.NewStackDistance(workload.StackDistanceConfig{
@@ -170,6 +129,9 @@ func TestParallelMatchesSerialRandomConfigs(t *testing.T) {
 				t.Fatal(err)
 			}
 			workers := 2 << rng.Intn(2) // 2 or 4
+			if got := parallelWorkers(workers, minSets); got != workers {
+				t.Fatalf("workers=%d resolves to %d for %d sets: the parallel feed would not run", workers, got, minSets)
+			}
 			par, err := MissCurveFastParallel(context.Background(), trace.MustReplayer(master), base, sizes, warmup, n, workers)
 			if err != nil {
 				t.Fatal(err)

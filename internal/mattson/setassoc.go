@@ -163,35 +163,53 @@ func (p *SetProfiler) Access(a trace.Access) {
 	p.Run(batch[:])
 }
 
-// packInto produces the chunk-level access encoding the hot loops
-// consume: lineAddr<<1 | write. One packing pass serves every profiler of
-// a sweep (they share LineBytes), replaces the 16-byte Access struct with
-// one word, and turns the dirty flag into a single shift (w<<63).
-func packInto(dst []uint64, batch []trace.Access, lineShift uint) []uint64 {
-	dst = dst[:0]
-	for _, a := range batch {
-		w := (a.Addr >> (lineShift & 63)) << 1
-		if a.Write {
-			w |= 1
-		}
-		dst = append(dst, w)
-	}
-	return dst
-}
-
-// Run streams a batch of accesses through the model.
+// Run streams a batch of accesses through the model on the sweep path's
+// encoder, kernel and fold: each slice of up to 512 accesses is packed
+// (the zero partition keeps them all), run through the single-profiler
+// kernel, and folded into Stats by addPart.
 func (p *SetProfiler) Run(batch []trace.Access) {
-	if p.assoc > 8 {
-		p.runShift(batch)
-		return
-	}
 	var pk [512]uint64
 	for len(batch) > 0 {
 		n := min(len(batch), len(pk))
-		packed := packInto(pk[:0], batch[:n], p.lineShift)
-		p.runPacked(packed)
+		p.addPart(p.runSingle(partition{}.pack(pk[:], batch[:n], p.lineShift)))
 		batch = batch[n:]
 	}
+}
+
+// partStats is one profiler's kernel counters over a stretch of the
+// stream: one chunk's result, or a worker's running total for the sweep.
+type partStats struct {
+	n, hits, evictions, writeBacks uint64
+}
+
+func (a *partStats) add(b partStats) {
+	a.n += b.n
+	a.hits += b.hits
+	a.evictions += b.evictions
+	a.writeBacks += b.writeBacks
+}
+
+// addPart is the one path from kernel counters to the profiler's Stats:
+// it adds a's counters and the fields derived from them. Callers own p
+// (the sweep folds worker totals on the main goroutine).
+func (p *SetProfiler) addPart(a partStats) {
+	misses := a.n - a.hits
+	p.stats.Accesses += a.n
+	p.stats.Hits += a.hits
+	p.stats.Misses += misses
+	p.stats.Evictions += a.evictions
+	p.stats.WriteBacks += a.writeBacks
+	p.stats.FillBytes += misses * p.lineBytes
+	p.stats.WriteBackBytes += a.writeBacks * p.lineBytes
+}
+
+// runSingle runs one packed chunk through the single-profiler kernel for
+// the profiler's associativity.
+func (p *SetProfiler) runSingle(packed []uint64) partStats {
+	if p.assoc > 8 {
+		return p.runShift(packed)
+	}
+	return p.runPacked(packed)
 }
 
 // b2u is a branch-free bool→uint64 (compiles to SETcc).
@@ -221,23 +239,7 @@ func permRare(st []uint64, zm, base, tag, mask uint64) (uint64, uint64, uint64, 
 	return 0, 0, 0, false
 }
 
-// runPacked streams one packed chunk through the model and folds the
-// counters into the profiler's Stats. The loop body lives in
-// runPackedCounters so the parallel sweep driver can run the identical
-// kernel against a worker-private accumulator instead of the shared Stats.
-func (p *SetProfiler) runPacked(packed []uint64) {
-	hits, evictions, writeBacks := p.runPackedCounters(packed)
-	misses := uint64(len(packed)) - hits
-	p.stats.Accesses += uint64(len(packed))
-	p.stats.Hits += hits
-	p.stats.Misses += misses
-	p.stats.Evictions += evictions
-	p.stats.WriteBacks += writeBacks
-	p.stats.FillBytes += misses * p.lineBytes
-	p.stats.WriteBackBytes += writeBacks * p.lineBytes
-}
-
-// runPackedCounters is the single-profiler hot loop for Assoc ≤ 8. Per access:
+// runPacked is the single-profiler hot loop for Assoc ≤ 8. Per access:
 // one fingerprint word answers "which way, if any, can hold this tag"
 // (exact zero-byte SWAR; candidates are verified against the real tag, so
 // signature collisions cost a retry, never correctness). A hit reads its
@@ -248,16 +250,17 @@ func (p *SetProfiler) runPacked(packed []uint64) {
 // indexes are pre-masked by the power-of-two array sizes, which both
 // proves bounds away and keeps a stray signature byte inside the set's
 // own 16-word stride.
-func (p *SetProfiler) runPackedCounters(packed []uint64) (hits, evictions, writeBacks uint64) {
+func (p *SetProfiler) runPacked(packed []uint64) partStats {
 	st := p.ways
 	setMask := p.setMask
 	tagShift := p.setShift & 63
 	vAdd, aAdd := p.vAdd, p.aAdd
 	mask := uint64(len(st) - 1)
+	var hits, evictions, writeBacks uint64
 	// Non-emptiness lets the prove pass turn every masked index
 	// (x & (len-1)) into a checked-free access.
 	if len(st) == 0 {
-		return
+		return partStats{}
 	}
 	for i := 0; i < len(packed); i++ {
 		w := packed[i]
@@ -304,33 +307,28 @@ func (p *SetProfiler) runPackedCounters(packed []uint64) (hits, evictions, write
 		evictions += eb
 		writeBacks += eb & (prev >> 63)
 	}
-	return hits, evictions, writeBacks
+	return partStats{n: uint64(len(packed)), hits: hits, evictions: evictions, writeBacks: writeBacks}
 }
 
-// runShift is the fallback loop for associativities above 8, where the
-// per-way nibbles and signature bytes no longer fit their single words.
-// The tags are kept recency-ordered and the scan is fused with the
-// recency shift: every way the scan passes slides down one depth as it
-// goes, so a hit at depth i has already done its rotation and a full scan
-// has already done the miss path's shift — with the evicted way left in
-// hand.
-func (p *SetProfiler) runShift(batch []trace.Access) {
+// runShift is the single-profiler loop for associativities above 8,
+// where the per-way nibbles and signature bytes no longer fit their
+// single words. The tags are kept recency-ordered and the scan is fused
+// with the recency shift: every way the scan passes slides down one depth
+// as it goes, so a hit at depth i has already done its rotation and a
+// full scan has already done the miss path's shift — with the evicted
+// way left in hand.
+func (p *SetProfiler) runShift(packed []uint64) partStats {
 	ways := p.ways
 	assoc := p.assoc
 	setMask := p.setMask
-	setShift := p.setShift
-	lineShift := p.lineShift
-	var hits, misses, evictions, writeBacks uint64
-	for _, a := range batch {
-		lineAddr := a.Addr >> (lineShift & 63)
-		setIdx := lineAddr & setMask
-		tag := lineAddr >> (setShift & 63)
-		base := int(setIdx) * assoc
+	setShift := p.setShift & 63
+	var hits, evictions, writeBacks uint64
+	for _, w := range packed {
+		lineAddr := w >> 1
+		tag := lineAddr >> setShift
+		base := int(lineAddr&setMask) * assoc
 		ws := ways[base : base+assoc]
-		var wdirty uint64
-		if a.Write {
-			wdirty = dirtyFlag
-		}
+		wdirty := w << 63
 		prev := ws[0]
 		if prev&^dirtyFlag == tag {
 			hits++
@@ -356,17 +354,10 @@ func (p *SetProfiler) runShift(batch []trace.Access) {
 		// in prev. A sentinel victim means the set still had an empty way —
 		// exactly the brute simulator's prefer-invalid victim choice.
 		ws[0] = tag | wdirty
-		misses++
 		if prev != invalidTag {
 			evictions++
 			writeBacks += prev >> 63
 		}
 	}
-	p.stats.Accesses += uint64(len(batch))
-	p.stats.Hits += hits
-	p.stats.Misses += misses
-	p.stats.Evictions += evictions
-	p.stats.WriteBacks += writeBacks
-	p.stats.FillBytes += misses * p.lineBytes
-	p.stats.WriteBackBytes += writeBacks * p.lineBytes
+	return partStats{n: uint64(len(packed)), hits: hits, evictions: evictions, writeBacks: writeBacks}
 }

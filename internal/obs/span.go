@@ -19,8 +19,8 @@ type SpanRecord struct {
 	Name       string
 	Start      time.Time
 	Wall       time.Duration
-	AllocBytes uint64 // heap bytes allocated over the span (the MemStats.TotalAlloc delta)
-	Mallocs    uint64 // heap objects allocated over the span (the MemStats.Mallocs delta)
+	AllocBytes uint64 // /gc/heap/allocs:bytes delta over the span (0 below one cache refill)
+	Mallocs    uint64 // /gc/heap/allocs:objects + /gc/heap/tiny/allocs:objects delta (same floor)
 }
 
 // Span is an open timing region. Obtain one from StartSpan or

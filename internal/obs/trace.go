@@ -88,8 +88,10 @@ func NewTraceID() string {
 }
 
 // heapAllocs is a reading of the process-wide cumulative heap
-// allocation counters: bytes is MemStats.TotalAlloc, objects is
-// MemStats.Mallocs (tiny blocks included).
+// allocation counters, the runtime/metrics counterparts of
+// MemStats.TotalAlloc (bytes) and MemStats.Mallocs (objects, tiny blocks
+// included). They count small objects per allocation-cache refill, so
+// they trail the MemStats figures by up to one refill per P.
 type heapAllocs struct{ bytes, objects uint64 }
 
 // readHeapAllocs is the one allocation reader behind every span: a

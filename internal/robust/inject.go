@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
 )
 
 // Deterministic fault injection.
@@ -30,7 +31,12 @@ import (
 //	          sleep:DUR   sleep DUR (context-aware), then continue —
 //	                      artificial latency, not a failure
 //	count   "xN" fires the directive on its first N matching hits
-//	        (default x1); "x*" fires on every hit
+//	        (default x1); "x*" fires on every hit; N is plain decimal
+//	        digits
+//
+// point and scope hold no whitespace, and an @ takes exactly one
+// non-empty scope: a spelling that would name no injection site is
+// rejected rather than parsed into a directive that never fires.
 //
 // Example:
 //
@@ -116,9 +122,21 @@ func parseDirective(raw string) (*Directive, error) {
 		return nil, fmt.Errorf("robust: directive %q: want point[@scope]=action", raw)
 	}
 	d := &Directive{Count: 1}
-	d.Point, d.Scope, _ = strings.Cut(strings.TrimSpace(lhs), "@")
-	if d.Point == "" {
+	lhs = strings.TrimSpace(lhs)
+	var scoped bool
+	d.Point, d.Scope, scoped = strings.Cut(lhs, "@")
+	// Each rejection below is a spelling that would otherwise parse to a
+	// point or scope no injection site ever names, so the plan would
+	// silently inject nothing.
+	switch {
+	case d.Point == "":
 		return nil, fmt.Errorf("robust: directive %q: empty injection point", raw)
+	case strings.ContainsFunc(lhs, unicode.IsSpace):
+		return nil, fmt.Errorf("robust: directive %q: whitespace inside %q", raw, lhs)
+	case scoped && d.Scope == "":
+		return nil, fmt.Errorf("robust: directive %q: empty scope after @", raw)
+	case strings.Contains(d.Scope, "@"):
+		return nil, fmt.Errorf("robust: directive %q: more than one @", raw)
 	}
 	rhs = strings.TrimSpace(rhs)
 	if fields := strings.Fields(rhs); len(fields) == 2 && strings.HasPrefix(fields[1], "x") {
@@ -127,8 +145,10 @@ func parseDirective(raw string) (*Directive, error) {
 		if cnt == "*" {
 			d.Count = -1
 		} else {
+			// ParseInt alone would take a sign ("x+5"); counts are
+			// plain decimal digits.
 			n, err := strconv.ParseInt(cnt, 10, 64)
-			if err != nil || n < 1 {
+			if err != nil || n < 1 || strings.TrimLeft(cnt, "0123456789") != "" {
 				return nil, fmt.Errorf("robust: directive %q: bad count %q", raw, fields[1])
 			}
 			d.Count = n

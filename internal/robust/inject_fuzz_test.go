@@ -51,6 +51,12 @@ func FuzzParsePlan(f *testing.F) {
 		"=panic",
 		"p=panic x0",
 		"p=panic xz",
+		"exp.run@ fig02=panic",
+		"exp.run @fig02=panic",
+		"a@b@c=domain",
+		"exp.run@=panic",
+		"p=panic x+5",
+		"fleet.dial@http://127.0.0.1:8082=transient",
 	} {
 		f.Add(seed)
 	}

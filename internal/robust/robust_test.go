@@ -189,9 +189,45 @@ func TestParsePlanErrors(t *testing.T) {
 		"=panic",
 		"p=panic x0",
 		"p=panic xz",
+		// Spellings that used to parse to a scope or count no site
+		// matches: whitespace inside point@scope, a second @, an empty
+		// scope, and a signed count.
+		"exp.run@ fig02=panic",
+		"exp.run @fig02=panic",
+		"exp .run=panic",
+		"a@b@c=domain",
+		"exp.run@=panic",
+		"p=panic x+5",
+		"p=panic x-5",
 	} {
-		if _, err := ParsePlan(spec); err == nil {
+		_, err := ParsePlan(spec)
+		if err == nil {
 			t.Errorf("spec %q accepted", spec)
+		} else if !strings.HasPrefix(err.Error(), "robust: ") {
+			t.Errorf("spec %q: error %q lacks the robust: prefix", spec, err)
+		}
+	}
+}
+
+func TestParsePlanScopes(t *testing.T) {
+	for spec, want := range map[string]*Directive{
+		"exp.run@fig02=panic":                        {Point: "exp.run", Scope: "fig02", Count: 1},
+		"  exp.run@fig02 = panic  x3 ":               {Point: "exp.run", Scope: "fig02", Count: 3},
+		"fleet.dial@http://127.0.0.1:8082=transient": {Point: "fleet.dial", Scope: "http://127.0.0.1:8082", Count: 1},
+		"fleet.dial@127.0.0.1:18121=transient x007":  {Point: "fleet.dial", Scope: "127.0.0.1:18121", Count: 7},
+		"exp.run@*=domain x*":                        {Point: "exp.run", Scope: "*", Count: -1},
+	} {
+		p, err := ParsePlan(spec)
+		if err != nil {
+			t.Errorf("ParsePlan(%q): %v", spec, err)
+			continue
+		}
+		if len(p.Dirs) != 1 {
+			t.Errorf("ParsePlan(%q): %d directives, want 1", spec, len(p.Dirs))
+			continue
+		}
+		if d := p.Dirs[0]; d.Point != want.Point || d.Scope != want.Scope || d.Count != want.Count {
+			t.Errorf("ParsePlan(%q) = %+v, want point %q scope %q count %d", spec, d, want.Point, want.Scope, want.Count)
 		}
 	}
 }
