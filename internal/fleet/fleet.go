@@ -386,6 +386,7 @@ func (g *Gateway) relay(w http.ResponseWriter, res *proxyResult) {
 		}
 	}
 	w.Header().Set(ReplicaHeader, res.rep.base)
+	w.Header().Set("Content-Length", strconv.Itoa(len(res.body)))
 	w.WriteHeader(res.status)
 	_, _ = w.Write(res.body)
 }

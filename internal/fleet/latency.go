@@ -1,7 +1,7 @@
 package fleet
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -20,16 +20,9 @@ const hedgeMinSamples = 8
 // replica, answering quantile queries for the hedge trigger.
 type latencyTracker struct {
 	mu   sync.Mutex
-	buf  []time.Duration
+	buf  [latencyWindow]time.Duration
 	next int
-	n    int // valid samples (≤ len(buf))
-}
-
-func newLatencyTracker(window int) *latencyTracker {
-	if window < 1 {
-		window = latencyWindow
-	}
-	return &latencyTracker{buf: make([]time.Duration, window)}
+	n    int // valid samples (≤ latencyWindow)
 }
 
 // Observe records one successful-request latency.
@@ -44,17 +37,20 @@ func (t *latencyTracker) Observe(d time.Duration) {
 }
 
 // Quantile returns the q-quantile (0 < q ≤ 1) of the window, or
-// (0, false) with fewer than hedgeMinSamples observations.
+// (0, false) with fewer than hedgeMinSamples observations. The gateway
+// asks on every proxied request, so it sorts a copy on the stack and
+// allocates nothing.
 func (t *latencyTracker) Quantile(q float64) (time.Duration, bool) {
+	var buf [latencyWindow]time.Duration
 	t.mu.Lock()
-	if t.n < hedgeMinSamples {
-		t.mu.Unlock()
+	n := t.n
+	copy(buf[:], t.buf[:n])
+	t.mu.Unlock()
+	if n < hedgeMinSamples {
 		return 0, false
 	}
-	samples := make([]time.Duration, t.n)
-	copy(samples, t.buf[:t.n])
-	t.mu.Unlock()
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	samples := buf[:n]
+	slices.Sort(samples)
 	idx := int(q*float64(len(samples))) - 1
 	if idx < 0 {
 		idx = 0

@@ -95,7 +95,7 @@ func (g *Gateway) attempt(ctx context.Context, rep *replica, method, path, query
 		return nil, robust.MarkTransient(fmt.Errorf("fleet: %s %s: %w", method, rep.base+path, err))
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyBody))
+	b, err := readUpstream(resp)
 	if err != nil {
 		return nil, robust.MarkTransient(fmt.Errorf("fleet: reading %s response: %w", rep.base, err))
 	}
@@ -108,6 +108,20 @@ func (g *Gateway) attempt(ctx context.Context, rep *replica, method, path, query
 		rep.lat.Observe(time.Since(start))
 	}
 	return &proxyResult{status: resp.StatusCode, header: resp.Header, body: b, rep: rep}, nil
+}
+
+// readUpstream buffers an upstream body of at most maxProxyBody bytes.
+// A declared Content-Length within the bound sizes the buffer exactly, so
+// the read is one allocation instead of io.ReadAll's doubling from 512 B;
+// a body shorter than its declared length fails as io.ErrUnexpectedEOF.
+// Unknown or oversized lengths keep the bounded io.ReadAll.
+func readUpstream(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxProxyBody {
+		b := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, b)
+		return b, err
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, maxProxyBody))
 }
 
 // forward walks order — the rendezvous preference sequence for this

@@ -109,20 +109,42 @@ type sweepArena struct {
 	access []trace.Access
 }
 
-var arenaPool = sync.Pool{New: func() any { return &sweepArena{} }}
+// arenas is the free list of idle sweep arenas: at most GOMAXPROCS of
+// them, one per sweep that can run at once. A sync.Pool would be emptied
+// by every GC cycle, making the first sweep after a collection
+// reallocate all its slabs.
+var arenas struct {
+	mu   sync.Mutex
+	free []*sweepArena
+}
 
 func getArena() *sweepArena {
-	a := arenaPool.Get().(*sweepArena)
+	var a *sweepArena
+	arenas.mu.Lock()
+	if n := len(arenas.free); n > 0 {
+		a = arenas.free[n-1]
+		arenas.free = arenas.free[:n-1]
+	}
+	arenas.mu.Unlock()
+	if a == nil {
+		a = &sweepArena{}
+	}
 	a.words.used, a.parts.used = 0, 0
 	return a
 }
 
-func putArena(a *sweepArena) { arenaPool.Put(a) }
+func putArena(a *sweepArena) {
+	arenas.mu.Lock()
+	if len(arenas.free) < runtime.GOMAXPROCS(0) {
+		arenas.free = append(arenas.free, a)
+	}
+	arenas.mu.Unlock()
+}
 
 // slab is a bump allocator over one pooled array. When the array runs
 // out, a fresh one twice the demand replaces it — earlier grabs keep
-// referencing the old array until the sweep ends, and the pool retains
-// only the newest, largest one for the next call.
+// referencing the old array until the sweep ends, and the free list
+// retains only the newest, largest one for the next call.
 type slab[T any] struct {
 	buf  []T
 	used int

@@ -67,8 +67,7 @@ type Wall interface {
 func mixWall(words ...uint64) uint64 {
 	h := uint64(fnvOffset)
 	for _, w := range words {
-		h ^= w
-		h *= fnvPrime
+		h = fnvMix(h, w)
 	}
 	return h ^ h>>32
 }
@@ -78,6 +77,15 @@ func boolBit(b bool) uint64 {
 		return 1
 	}
 	return 2
+}
+
+// compoundAt is a wall limit at generation gen: limit^gen when the
+// envelope compounds, limit otherwise.
+func compoundAt(limit float64, compound bool, gen int) float64 {
+	if compound {
+		return math.Pow(limit, float64(gen))
+	}
+	return limit
 }
 
 // growthAt resolves a per-generation usage-growth factor: 0 means none.
@@ -102,12 +110,7 @@ type BandwidthWall struct {
 func (BandwidthWall) Kind() string { return KindBandwidth }
 
 // LimitAt implements Wall.
-func (w BandwidthWall) LimitAt(gen int) float64 {
-	if w.Compound {
-		return math.Pow(w.Budget, float64(gen))
-	}
-	return w.Budget
-}
+func (w BandwidthWall) LimitAt(gen int) float64 { return compoundAt(w.Budget, w.Compound, gen) }
 
 // Usage implements Wall: relative traffic M2/M1.
 func (BandwidthWall) Usage(s Solver, pm technique.Params, n2, p float64, gen int) float64 {
@@ -152,12 +155,7 @@ type ThermalWall struct {
 func (ThermalWall) Kind() string { return KindThermal }
 
 // LimitAt implements Wall.
-func (w ThermalWall) LimitAt(gen int) float64 {
-	if w.Compound {
-		return math.Pow(w.Limit, float64(gen))
-	}
-	return w.Limit
-}
+func (w ThermalWall) LimitAt(gen int) float64 { return compoundAt(w.Limit, w.Compound, gen) }
 
 func (w ThermalWall) kappa() float64 {
 	if w.CachePower == 0 {
@@ -259,12 +257,7 @@ type EnergyWall struct {
 func (EnergyWall) Kind() string { return KindEnergy }
 
 // LimitAt implements Wall.
-func (w EnergyWall) LimitAt(gen int) float64 {
-	if w.Compound {
-		return math.Pow(w.Limit, float64(gen))
-	}
-	return w.Limit
-}
+func (w EnergyWall) LimitAt(gen int) float64 { return compoundAt(w.Limit, w.Compound, gen) }
 
 func (w EnergyWall) share() float64 {
 	if w.AccessShare == 0 {
@@ -349,10 +342,7 @@ func (c Constraint) MultiWall() bool { return len(c.walls) > 1 }
 func (c Constraint) Fingerprint() uint64 {
 	h := uint64(fnvOffset)
 	for _, w := range c.walls {
-		h ^= HashString(w.Kind())
-		h *= fnvPrime
-		h ^= w.Fingerprint()
-		h *= fnvPrime
+		h = fnvMix(fnvMix(h, HashString(w.Kind())), w.Fingerprint())
 	}
 	return h ^ h>>32
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"repro/internal/obs"
@@ -157,6 +158,10 @@ func writeCached(ctx context.Context, w http.ResponseWriter, body []byte, dispos
 	defer span.End()
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(CacheHeader, disposition)
+	// Declare the length: bodies past net/http's 2 KiB buffer would
+	// otherwise go out chunked, and a reader (the fleet gateway) could not
+	// size its buffer up front.
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
 }
@@ -169,8 +174,12 @@ func writeCached(ctx context.Context, w http.ResponseWriter, body []byte, dispos
 // the PR-4 solver-cache fingerprint. Exported because the fleet gateway
 // routes on exactly this key: the fingerprint that names a response in
 // a replica's cache is the fingerprint that picks the replica.
+//
+// It calls the canonical MarshalJSON directly: its output is already
+// compact and HTML-escaped, so json.Marshal's re-validation and
+// re-compaction pass would only copy the same bytes again.
 func FingerprintSpec(sp *scenario.Spec) (string, error) {
-	canon, err := json.Marshal(sp)
+	canon, err := sp.MarshalJSON()
 	if err != nil {
 		return "", fmt.Errorf("canonicalizing spec: %w", err)
 	}

@@ -54,7 +54,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 // JSON under an "optimize|" domain prefix, so an optimize fingerprint can
 // never collide with an eval fingerprint in the shared response cache.
 func FingerprintOptimizeSpec(osp *scenario.OptimizeSpec) (string, error) {
-	canon, err := json.Marshal(osp)
+	canon, err := osp.MarshalJSON() // compact already, as in FingerprintSpec
 	if err != nil {
 		return "", fmt.Errorf("canonicalizing optimize spec: %w", err)
 	}
